@@ -4,20 +4,19 @@
 //! thread counts (plus the scheduler against the retained serial sweep
 //! at one thread), the level-overlapped `Graph::forward` replay against
 //! its serial reference, the blocked GEMM kernel against the naive
-//! `i-k-j` reference, and the zero-skip-branch experiment that motivated
-//! removing the `if aip == 0.0 { continue; }` test from the matmul hot
-//! loop.
+//! `i-k-j` reference, and one conv2d forward at the trainer's shape.
 //!
 //! Besides the usual console output, results are written to
 //! `BENCH_runtime.json` at the workspace root so future PRs can track
 //! the perf trajectory mechanically; CI runs this bench in smoke mode
-//! (`SDC_BENCH_SMOKE=1`) and gates the matmul family against the
-//! checked-in baseline with `bench_gate`.
+//! (`SDC_BENCH_SMOKE=1`) and gates the matmul, backward and forward
+//! families against the checked-in baseline with `bench_gate`.
 
 use criterion::{BenchmarkId, Criterion};
 use sdc_bench::{bench_model, bench_samples};
 use sdc_core::score::contrast_scores_shared;
 use sdc_runtime::Runtime;
+use sdc_tensor::ops::conv::conv2d_forward;
 use sdc_tensor::ops::gemm::{self, Trans};
 use sdc_tensor::ops::matmul::matmul;
 use sdc_tensor::{Graph, Tensor, VarId};
@@ -170,62 +169,21 @@ fn bench_blocked_vs_naive(c: &mut Criterion) {
     group.finish();
 }
 
-/// The removed zero-skip inner loop, kept here (only) to measure what
-/// the data-dependent branch costs on dense inputs.
-fn matmul_with_zero_skip(a: &Tensor, b: &Tensor, n: usize, k: usize, m: usize) -> Tensor {
-    let mut out = Tensor::zeros([n, m]);
-    let ad = a.data();
-    let bd = b.data();
-    let od = out.data_mut();
-    for i in 0..n {
-        for p in 0..k {
-            let aip = ad[i * k + p];
-            if aip == 0.0 {
-                continue;
-            }
-            let brow = &bd[p * m..(p + 1) * m];
-            let orow = &mut od[i * m..(i + 1) * m];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += aip * bv;
-            }
-        }
-    }
-    out
-}
-
-fn bench_zero_skip_branch(c: &mut Criterion) {
-    let n = 192;
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
-    let dense_a = Tensor::randn([n, n], 1.0, &mut rng);
-    let b = Tensor::randn([n, n], 1.0, &mut rng);
-    // 50% zeros — the most branch-predictor-hostile density.
-    let sparse_a = dense_a.map(|v| if v > 0.0 { v } else { 0.0 });
+/// One conv2d forward at the trainer's real shape (batch 16, 16→16
+/// channels, 3×3 kernel, padding 1, 12×12 maps), single thread: the
+/// fused `im2col_packed` unfold plus the GEMM it feeds. The id contains
+/// `forward`, so the CI `--family forward` gate holds it to the
+/// baseline and catches a regression of either half.
+fn bench_conv_forward(c: &mut Criterion) {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(19);
+    let x = Tensor::randn([16, 16, 12, 12], 1.0, &mut rng);
+    let w = Tensor::randn([16, 16, 3, 3], 0.1, &mut rng);
     let rt = Runtime::new(1);
-    let mut group = c.benchmark_group("matmul_zero_skip");
-    // The branchless arms pin `gemm::naive` (not the public `matmul`,
-    // which now takes the blocked path at this size) so the experiment
-    // stays a like-for-like comparison of the same loop ± the branch.
-    group.bench_function("dense/branchless", |bch| {
+    c.bench_function("conv2d_forward_16x16x12x12", |bch| {
         bch.iter(|| {
-            rt.install(|| {
-                gemm::naive(black_box(&dense_a), Trans::N, black_box(&b), Trans::N).unwrap()
-            })
+            rt.install(|| conv2d_forward(black_box(&x), black_box(&w), None, 1, 1).unwrap())
         })
     });
-    group.bench_function("dense/zero_skip", |bch| {
-        bch.iter(|| matmul_with_zero_skip(black_box(&dense_a), black_box(&b), n, n, n))
-    });
-    group.bench_function("half_sparse/branchless", |bch| {
-        bch.iter(|| {
-            rt.install(|| {
-                gemm::naive(black_box(&sparse_a), Trans::N, black_box(&b), Trans::N).unwrap()
-            })
-        })
-    });
-    group.bench_function("half_sparse/zero_skip", |bch| {
-        bch.iter(|| matmul_with_zero_skip(black_box(&sparse_a), black_box(&b), n, n, n))
-    });
-    group.finish();
 }
 
 /// Writes `BENCH_runtime.json` at the workspace root: a list of
@@ -267,6 +225,6 @@ fn main() {
     bench_backward_sched_vs_serial(&mut criterion);
     bench_forward_sched_vs_serial(&mut criterion);
     bench_blocked_vs_naive(&mut criterion);
-    bench_zero_skip_branch(&mut criterion);
+    bench_conv_forward(&mut criterion);
     write_json(&criterion);
 }

@@ -88,7 +88,7 @@ pub fn spearman_rank_correlation(a: &[f32], b: &[f32]) -> f32 {
     }
     let ranks = |xs: &[f32]| -> Vec<f32> {
         let mut idx: Vec<usize> = (0..xs.len()).collect();
-        idx.sort_by(|&i, &j| xs[i].partial_cmp(&xs[j]).unwrap_or(std::cmp::Ordering::Equal));
+        idx.sort_by(|&i, &j| crate::score::score_cmp(xs[i], xs[j]));
         let mut r = vec![0.0f32; xs.len()];
         for (rank, &i) in idx.iter().enumerate() {
             r[i] = rank as f32;

@@ -12,6 +12,7 @@ use sdc_tensor::{Result, Tensor};
 use super::{ReplacementOutcome, ReplacementPolicy};
 use crate::buffer::{BufferEntry, ReplayBuffer};
 use crate::model::ContrastiveModel;
+use crate::score::score_cmp;
 
 /// Greedy k-center selection over projected features of `B ∪ I`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -46,9 +47,10 @@ pub(crate) fn greedy_k_center(points: &Tensor, k: usize) -> Vec<usize> {
         |a: &[f32], b: &[f32]| -> f32 { a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum() };
     let first = (0..n)
         .max_by(|&a, &b| {
-            dist2(&pd[a * d..(a + 1) * d], &centroid)
-                .partial_cmp(&dist2(&pd[b * d..(b + 1) * d], &centroid))
-                .unwrap_or(std::cmp::Ordering::Equal)
+            score_cmp(
+                dist2(&pd[a * d..(a + 1) * d], &centroid),
+                dist2(&pd[b * d..(b + 1) * d], &centroid),
+            )
         })
         .expect("n > 0");
     let mut selected = vec![first];
@@ -56,11 +58,7 @@ pub(crate) fn greedy_k_center(points: &Tensor, k: usize) -> Vec<usize> {
     let mut min_dist: Vec<f32> =
         (0..n).map(|i| dist2(&pd[i * d..(i + 1) * d], &pd[first * d..(first + 1) * d])).collect();
     while selected.len() < k {
-        let next = (0..n)
-            .max_by(|&a, &b| {
-                min_dist[a].partial_cmp(&min_dist[b]).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("n > 0");
+        let next = (0..n).max_by(|&a, &b| score_cmp(min_dist[a], min_dist[b])).expect("n > 0");
         selected.push(next);
         for i in 0..n {
             let dd = dist2(&pd[i * d..(i + 1) * d], &pd[next * d..(next + 1) * d]);

@@ -6,6 +6,8 @@
 //! representation of `xᵢ`, so `xᵢ` still carries learning signal
 //! (large gradients — see [`crate::grad_analysis`]).
 
+use std::cmp::Ordering;
+
 use sdc_data::augment::flip::hflip;
 use sdc_data::{stack_image_tensors, Sample};
 use sdc_tensor::{Result, Tensor, TensorError};
@@ -77,8 +79,22 @@ pub fn scores_from_projections(z: &Tensor, n: usize) -> Vec<f32> {
         .collect()
 }
 
+/// The one ordering every ranking of scores, distances and
+/// similarities uses: a total order over all `f32` values.
+///
+/// On numbers it is `<` (so `-0.0` and `0.0` compare equal); NaN
+/// compares below every number and equal to any other NaN. A best-first
+/// (descending) ranking therefore picks NaN last, and a maximum never
+/// picks NaN over a number. Unlike `partial_cmp(..).unwrap_or(Equal)`,
+/// which is not transitive once a NaN is present, it is safe to hand
+/// to `sort_by`.
+pub fn score_cmp(a: f32, b: f32) -> Ordering {
+    a.partial_cmp(&b).unwrap_or_else(|| b.is_nan().cmp(&a.is_nan()))
+}
+
 /// Returns the indices of the `k` highest-scoring entries (the paper's
 /// `topN` in Eq. (4)), breaking ties by lower index for determinism.
+/// NaN scores rank below every number (see [`score_cmp`]).
 ///
 /// # Panics
 ///
@@ -86,9 +102,7 @@ pub fn scores_from_projections(z: &Tensor, n: usize) -> Vec<f32> {
 pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
     assert!(k <= scores.len(), "k={k} exceeds candidate count {}", scores.len());
     let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
+    idx.sort_by(|&a, &b| score_cmp(scores[b], scores[a]).then(a.cmp(&b)));
     idx.truncate(k);
     idx
 }
@@ -157,6 +171,65 @@ mod tests {
         let scores = [0.1, 0.9, 0.5, 0.9, 0.0];
         assert_eq!(top_k_indices(&scores, 3), vec![1, 3, 2]);
         assert_eq!(top_k_indices(&scores, 0), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn top_k_ranks_nan_last_and_signed_zeros_as_ties() {
+        let scores = [f32::NAN, 0.5, -0.0, f32::NEG_INFINITY, 0.0, -f32::NAN, 2.0];
+        assert_eq!(top_k_indices(&scores, 7), vec![6, 1, 2, 4, 3, 0, 5]);
+        assert_eq!(score_cmp(-0.0, 0.0), Ordering::Equal);
+        assert_eq!(score_cmp(f32::NAN, f32::NEG_INFINITY), Ordering::Less);
+        assert_eq!(score_cmp(f32::NAN, -f32::NAN), Ordering::Equal);
+    }
+
+    mod top_k_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `top_k_indices` as it was before [`score_cmp`]: correct only
+        /// when no score is NaN.
+        fn partial_cmp_top_k(scores: &[f32], k: usize) -> Vec<usize> {
+            let mut idx: Vec<usize> = (0..scores.len()).collect();
+            idx.sort_by(|&a, &b| {
+                scores[b].partial_cmp(&scores[a]).unwrap_or(Ordering::Equal).then(a.cmp(&b))
+            });
+            idx.truncate(k);
+            idx
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn top_k_is_total_over_arbitrary_bit_patterns(
+                draws in collection::vec((any::<u32>(), 0u32..6), 0..48),
+                k_percent in 0usize..101,
+            ) {
+                // Arbitrary bits, with about one draw in six forced to
+                // a NaN (random payload and sign) so NaN-heavy inputs
+                // are common rather than a 1-in-256 accident.
+                let scores: Vec<f32> = draws
+                    .iter()
+                    .map(|&(bits, d)| f32::from_bits(if d == 0 { bits | 0x7f80_0001 } else { bits }))
+                    .collect();
+                let k = scores.len() * k_percent / 100;
+                let top = top_k_indices(&scores, k);
+                prop_assert_eq!(top.len(), k);
+                let mut seen = vec![false; scores.len()];
+                for &i in &top {
+                    prop_assert!(!seen[i], "index {} picked twice", i);
+                    seen[i] = true;
+                }
+                // NaN ranks last: no NaN is picked while a number is left.
+                let picked_nan = top.iter().any(|&i| scores[i].is_nan());
+                let left_number = (0..scores.len()).any(|i| !seen[i] && !scores[i].is_nan());
+                prop_assert!(!(picked_nan && left_number), "NaN outranked a number");
+                // Identical to the old ordering wherever it was defined.
+                let clean: Vec<f32> =
+                    scores.iter().map(|&s| if s.is_nan() { 0.25 } else { s }).collect();
+                prop_assert_eq!(top_k_indices(&clean, k), partial_cmp_top_k(&clean, k));
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! quality estimate used for learning-curve checkpoints.
 
 use sdc_core::model::ContrastiveModel;
+use sdc_core::score::score_cmp;
 use sdc_data::Sample;
 use sdc_tensor::{Result, Tensor};
 
@@ -57,7 +58,7 @@ pub fn knn_predict(
                     (dot / (tnorm * train_norms[i]), train_labels[i])
                 })
                 .collect();
-            sims.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+            sims.sort_by(|a, b| score_cmp(b.0, a.0));
             let mut votes: std::collections::HashMap<usize, usize> = Default::default();
             for &(_, label) in sims.iter().take(k.min(n_train)) {
                 *votes.entry(label).or_insert(0) += 1;

@@ -1,5 +1,6 @@
 //! Classification metrics.
 
+use sdc_core::score::score_cmp;
 use serde::{Deserialize, Serialize};
 
 /// Top-1 accuracy of predictions against ground truth.
@@ -110,7 +111,7 @@ pub fn argmax_rows(data: &[f32], cols: usize) -> Vec<usize> {
         .map(|row| {
             row.iter()
                 .enumerate()
-                .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+                .max_by(|(_, &a), (_, &b)| score_cmp(a, b))
                 .map(|(i, _)| i)
                 .unwrap_or(0)
         })

@@ -10,7 +10,7 @@
 //! Run: `cargo run -p sdc-experiments --release --bin ablation_gradient`
 
 use sdc_core::grad_analysis::{per_sample_grad_norms, spearman_rank_correlation};
-use sdc_core::score::contrast_scores;
+use sdc_core::score::{contrast_scores, score_cmp};
 use sdc_data::augment::flip::hflip;
 use sdc_data::stack_image_tensors;
 use sdc_data::stream::TemporalStream;
@@ -35,7 +35,7 @@ fn analyze(
     // Case analysis: mean gradient of the lowest- and highest-score
     // quartiles (§III-C cases 1 and 2).
     let mut idx: Vec<usize> = (0..pool.len()).collect();
-    idx.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap_or(std::cmp::Ordering::Equal));
+    idx.sort_by(|&a, &b| score_cmp(scores[a], scores[b]));
     let q = (pool.len() / 4).max(1);
     let low: f32 = idx[..q].iter().map(|&i| grads[i]).sum::<f32>() / q as f32;
     let high: f32 = idx[pool.len() - q..].iter().map(|&i| grads[i]).sum::<f32>() / q as f32;

@@ -338,7 +338,14 @@ impl Pool {
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        self.pool.shared.shutdown.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: a worker checks it and
+        // then waits while holding that lock, so a store and notify
+        // slipped between its check and its wait would be lost and
+        // the join below would hang.
+        {
+            let _q = self.pool.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.pool.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.pool.shared.work_cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -649,6 +656,23 @@ mod tests {
             let want: u64 = (0..64).map(|j| (i * 64 + j) as u64).sum();
             assert_eq!(*s, want);
         }
+    }
+
+    #[test]
+    fn dropping_a_just_started_runtime_never_hangs() {
+        // A runtime dropped while its workers are still on their way
+        // into the work-queue wait must still shut them down. Run the
+        // churn on a helper thread so a lost wakeup fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for i in 0..20_000 {
+                drop(Runtime::new(2 + i % 6));
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a Runtime drop hung joining its workers, or panicked");
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! [`im2col_packed`] writes receptive-field patches **directly** into
 //! the blocked GEMM's `pack_b` panel layout (a [`PackedPanels`] value
 //! holding the *transposed* column matrix `colsᵀ`, logical shape
-//! `patch × rows`), computing each element's packed offset from the
-//! conv geometry — no intermediate column tensor, no second copy
-//! inside the GEMM. The forward product is then
+//! `patch × rows`) — no intermediate column tensor, no second copy
+//! inside the GEMM. It walks that layout in storage order, one
+//! `kc × NR` panel at a time: the conv geometry is decoded once per
+//! patch element (a per-call table) and once per panel lane, so the
+//! inner loop locates each source pixel with adds and bounds compares
+//! instead of a division chain per element. The forward product is then
 //! `prodᵀ = W · colsᵀ` via [`gemm_prepacked`](super::gemm::gemm_prepacked)
 //! and backward reuses the *same* panels for
 //! `dWᵀ = colsᵀ · g` via [`gemm_panels_a`](super::gemm::gemm_panels_a)
@@ -33,8 +36,8 @@
 //! contract, which covers finite data.
 //!
 //! The unfold/fold loops and the layout rearrangements parallelize over
-//! disjoint output regions (uniform `NR`-float packed rows for
-//! [`im2col_packed`], patch rows for [`im2col`], per-sample channel
+//! disjoint output regions (whole `NR`-column panels within one `KC`
+//! slab for [`im2col_packed`], patch rows for [`im2col`], per-sample channel
 //! images for `col2im`) on the `sdc-runtime` pool; every element is
 //! produced by exactly one chunk with the serial accumulation order, so
 //! outputs are bit-identical at any thread count.
@@ -43,6 +46,11 @@ use crate::error::{Result, TensorError};
 use crate::ops::gemm::{self, PackedPanels, Trans, KC, NR};
 use crate::par;
 use crate::Tensor;
+
+/// Whole `NR`-column panels per parallel chunk of [`im2col_packed`].
+/// Fixed (never derived from the thread count) like every other chunk
+/// size; any value gives the same bits, since each element is a copy.
+const PANELS_PER_CHUNK: usize = 8;
 
 /// Output spatial size for a convolution along one axis.
 pub fn conv_out_dim(input: usize, kernel: usize, stride: usize, padding: usize) -> usize {
@@ -104,14 +112,19 @@ pub fn im2col(x: &Tensor, kernel: usize, stride: usize, padding: usize) -> Resul
 /// the `B` operand of `prodᵀ = W · colsᵀ` (forward) or the `A` operand
 /// of `dWᵀ = colsᵀ · g` (backward) without any further packing pass.
 ///
-/// The writer parallelizes over uniform `NR`-float packed rows: packed
-/// row `q` lives in `k`-panel slab `q / (KC · jpanels)`, and within the
-/// slab (whose depth `kc` may be short on the final slab) addresses
-/// column panel `jp` and patch element `p_in` as
-/// `(within / kc, within % kc)`. Each row is written by exactly one
-/// chunk; panel tail lanes past the last output position and padded
-/// input positions keep the buffer's zero initialization, matching
-/// `pack_b`'s zero-padding discipline bit for bit.
+/// The writer is panel-major: it walks the layout in storage order
+/// (`KC` slab, then `NR`-column panel, then patch element, then lane)
+/// and finds each source pixel by adding precomputed offsets, never by
+/// dividing. Per call it tabulates every patch element's
+/// `(source offset, ky − pad, kx − pad)`; per panel it decodes the
+/// `NR` lanes' output positions once. Tail lanes past the last output
+/// position get a sentinel row that fails every bounds test, so they
+/// and padded input positions keep the buffer's zero initialization,
+/// matching `pack_b`'s zero-padding discipline bit for bit.
+///
+/// Each slab is dispatched on its own (the final slab may be shorter
+/// than `KC`) in fixed chunks of whole panels; every element is written
+/// by exactly one chunk.
 pub fn im2col_packed(
     x: &Tensor,
     kernel: usize,
@@ -130,38 +143,52 @@ pub fn im2col_packed(
     let jpanels = gemm::col_panels(rows);
     let mut buf = vec![0.0f32; patch * jpanels * NR];
     let xd = x.data();
-    let fill = |first_row: usize, piece: &mut [f32]| {
-        for (r, prow) in piece.chunks_mut(NR).enumerate() {
-            let q = first_row + r;
-            let slab = q / (KC * jpanels);
-            let within = q % (KC * jpanels);
-            let kc = KC.min(patch - slab * KC);
-            let (jp, p_in) = (within / kc, within % kc);
-            let p = slab * KC + p_in;
-            let ci = p / (kernel * kernel);
-            let (ky, kx) = ((p / kernel) % kernel, p % kernel);
-            let dy = ky as isize - padding as isize;
-            let dx = kx as isize - padding as isize;
-            for (lane, slot) in prow.iter_mut().enumerate() {
-                let col = jp * NR + lane;
-                if col >= rows {
-                    break; // tail lanes stay at the buffer's 0.0
+    let (hi, wi, pad) = (h as isize, w as isize, padding as isize);
+    // taps[p] = (offset of patch element p relative to its lane's
+    // top-left source pixel, ky − pad, kx − pad).
+    let taps: Vec<(isize, isize, isize)> = (0..patch)
+        .map(|p| {
+            let (ci, ky, kx) = (p / (kernel * kernel), (p / kernel) % kernel, p % kernel);
+            let (dy, dx) = (ky as isize - pad, kx as isize - pad);
+            ((ci * h * w) as isize + dy * wi + dx, dy, dx)
+        })
+        .collect();
+    let mut p0 = 0;
+    while p0 < patch {
+        let kc = KC.min(patch - p0);
+        let slab_taps = &taps[p0..p0 + kc];
+        let fill = |first_panel: usize, piece: &mut [f32]| {
+            for (r, block) in piece.chunks_mut(kc * NR).enumerate() {
+                let jp = first_panel + r;
+                // Per lane: (source index of the top-left pixel,
+                // oy·stride, ox·stride); the sentinel row is negative
+                // enough that `iy` never passes the bounds test.
+                let mut lanes = [(0isize, isize::MIN / 2, 0isize); NR];
+                for (lane, slot) in lanes.iter_mut().enumerate() {
+                    let col = jp * NR + lane;
+                    if col >= rows {
+                        break;
+                    }
+                    let (ni, rem) = (col / (oh * ow), col % (oh * ow));
+                    let (y0, x0) = ((rem / ow * stride) as isize, (rem % ow * stride) as isize);
+                    *slot = ((ni * c * h * w) as isize + y0 * wi + x0, y0, x0);
                 }
-                let ni = col / (oh * ow);
-                let rem = col % (oh * ow);
-                let (oy, ox) = (rem / ow, rem % ow);
-                let iy = (oy * stride) as isize + dy;
-                let ix = (ox * stride) as isize + dx;
-                if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
-                    continue; // padding positions stay zero
+                for (row, &(off, dy, dx)) in block.chunks_exact_mut(NR).zip(slab_taps) {
+                    for (out, &(base, y0, x0)) in row.iter_mut().zip(&lanes) {
+                        let (iy, ix) = (y0 + dy, x0 + dx);
+                        if iy >= 0 && iy < hi && ix >= 0 && ix < wi {
+                            *out = xd[(base + off) as usize];
+                        }
+                    }
                 }
-                *slot = xd[((ni * c + ci) * h + iy as usize) * w + ix as usize];
             }
-        }
-    };
-    par::dispatch_chunks(&mut buf, par::ROW_CHUNK * NR, rows * patch, |ci, piece| {
-        fill(ci * par::ROW_CHUNK, piece);
-    });
+        };
+        let slab = &mut buf[p0 * jpanels * NR..(p0 + kc) * jpanels * NR];
+        par::dispatch_chunks(slab, PANELS_PER_CHUNK * kc * NR, rows * kc, |ci, piece| {
+            fill(ci * PANELS_PER_CHUNK, piece);
+        });
+        p0 += kc;
+    }
     Ok(PackedPanels::from_parts(buf, patch, rows))
 }
 
@@ -591,6 +618,105 @@ mod tests {
         assert_bits_eq(&dx_a, &dx_b);
         assert_bits_eq(&dw_a, &dw_b);
         assert_bits_eq(&db_a.unwrap(), &db_b.unwrap());
+    }
+
+    /// Asserts the fused unfold equals the unfused oracle — `im2col`
+    /// then `pack_b` of the transpose — element by element, as bits.
+    fn assert_unfold_matches_oracle(x: &Tensor, kernel: usize, stride: usize, padding: usize) {
+        let got = im2col_packed(x, kernel, stride, padding).unwrap();
+        let cols = im2col(x, kernel, stride, padding).unwrap();
+        let want = PackedPanels::pack("oracle", &cols, Trans::T).unwrap();
+        assert_eq!((got.k(), got.m()), (want.k(), want.m()));
+        assert_eq!(got.as_slice().len(), want.as_slice().len());
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{:?} k={kernel} s={stride} p={padding}: element {i}: {a} vs {b}",
+                x.shape()
+            );
+        }
+    }
+
+    #[test]
+    fn fused_unfold_matches_oracle_on_edge_geometries() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(17);
+        // (n, c, h, w, kernel, stride, padding)
+        let cases = [
+            (2, 29, 3, 3, 3, 1, 1),    // patch 261 straddles KC; 18 columns
+            (16, 32, 6, 6, 3, 1, 1),   // the trainer's 32·3·3 = 288
+            (16, 16, 12, 12, 3, 1, 1), // the trainer's first block
+            (16, 16, 12, 12, 3, 2, 1), // the trainer's downsampling conv
+            (3, 5, 7, 5, 3, 1, 1),     // 105 columns, not an NR multiple
+            (2, 29, 6, 7, 3, 2, 1),    // stride 2 across a slab boundary
+            (2, 3, 7, 7, 3, 2, 0),     // stride 2, no padding
+            (1, 4, 5, 5, 3, 1, 0),     // n = 1, no padding
+            (2, 7, 5, 3, 1, 1, 0),     // 1×1 kernel
+            (1, 3, 6, 6, 1, 2, 0),     // strided 1×1 kernel
+            (1, 1, 1, 1, 3, 1, 1),     // a single pixel under a 3×3 kernel
+            (1, 2, 4, 4, 2, 2, 1),     // even kernel
+        ];
+        for (n, c, h, w, kernel, stride, padding) in cases {
+            let x = Tensor::randn([n, c, h, w], 1.0, &mut rng);
+            assert_unfold_matches_oracle(&x, kernel, stride, padding);
+        }
+    }
+
+    #[test]
+    fn fused_unfold_copies_non_finite_values_verbatim() {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fa0_1234), // signalling NaN with a payload
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE / 2.0, // subnormal
+        ];
+        let (n, c, h, w) = (2, 29, 4, 3);
+        let data: Vec<f32> = (0..n * c * h * w).map(|i| specials[i % specials.len()]).collect();
+        let x = Tensor::from_vec([n, c, h, w], data).unwrap();
+        for (kernel, stride, padding) in [(3, 1, 1), (3, 2, 0), (1, 1, 0)] {
+            assert_unfold_matches_oracle(&x, kernel, stride, padding);
+        }
+    }
+
+    mod unfold_props {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use sdc_runtime::Runtime;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            // Shapes reach past one KC slab and, often, past the
+            // parallel dispatch threshold with many panel chunks.
+            #[test]
+            fn fused_unfold_matches_oracle_at_any_thread_count(
+                dims in (1usize..6, 1usize..34, 1usize..14, 1usize..14),
+                geometry in (1usize..4, 1usize..4, 0usize..3),
+                seed in 0u64..1000,
+            ) {
+                let (n, c, h, w) = dims;
+                let (kernel, stride, padding) = geometry;
+                prop_assume!(kernel <= h + 2 * padding && kernel <= w + 2 * padding);
+                // Arbitrary bit patterns: NaNs, infinities and
+                // subnormals must all survive the copy.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let data: Vec<f32> =
+                    (0..n * c * h * w).map(|_| f32::from_bits(rng.random::<u32>())).collect();
+                let x = Tensor::from_vec([n, c, h, w], data).unwrap();
+                for threads in [1, 2, 7] {
+                    Runtime::new(threads)
+                        .install(|| assert_unfold_matches_oracle(&x, kernel, stride, padding));
+                }
+            }
+        }
     }
 
     #[test]

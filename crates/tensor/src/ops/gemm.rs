@@ -189,8 +189,8 @@ impl PackedPanels {
 
     /// Wraps an externally written buffer that is already in the
     /// [`pack_b`-layout][Self::pack] for a logical `k × m` matrix. Used
-    /// by conv2d's fused im2col, which computes per-element packed
-    /// offsets and writes column panels directly.
+    /// by conv2d's fused im2col, which writes column panels directly in
+    /// storage order.
     pub(crate) fn from_parts(buf: Vec<f32>, k: usize, m: usize) -> Self {
         debug_assert_eq!(buf.len(), k * col_panels(m) * NR);
         Self { buf, k, m }
@@ -204,6 +204,14 @@ impl PackedPanels {
     /// Logical column count.
     pub fn m(&self) -> usize {
         self.m
+    }
+
+    /// The packed buffer itself, read-only: `k · ⌈m / NR⌉ · NR` floats
+    /// in the [`pack`](Self::pack) layout, tail lanes zero. Tests compare
+    /// two packings of one logical matrix through it, bit for bit.
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        &self.buf
     }
 
     /// Heap footprint of the packed buffer, for cache budgeting.
