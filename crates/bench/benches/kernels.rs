@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sdc_tensor::ops::conv::{conv2d_backward, conv2d_forward};
 use sdc_tensor::ops::matmul::{matmul, matmul_nt};
 use sdc_tensor::ops::norm::{batch_norm2d_forward, l2_normalize_rows_forward};
 use sdc_tensor::ops::softmax::log_softmax_forward;
@@ -23,17 +22,8 @@ fn bench_kernels(c: &mut Criterion) {
         bch.iter(|| matmul_nt(black_box(&a), black_box(&bt)).unwrap())
     });
 
-    // conv2d forward is gated in the `runtime` bench; the backward
-    // needs its output shape only.
+    // conv2d forward and backward are gated in the `runtime` bench.
     let x = Tensor::randn([16, 16, 12, 12], 1.0, &mut rng);
-    let w = Tensor::randn([32, 16, 3, 3], 0.1, &mut rng);
-    let y = conv2d_forward(&x, &w, None, 1, 1).unwrap();
-    let gy = Tensor::ones(y.shape().clone());
-    c.bench_function("conv2d_backward_16x16x12x12", |bch| {
-        bch.iter(|| {
-            conv2d_backward(black_box(&x), black_box(&w), black_box(&gy), 1, 1, false).unwrap()
-        })
-    });
 
     let gamma = Tensor::ones([16]);
     let beta = Tensor::zeros([16]);

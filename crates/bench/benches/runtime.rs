@@ -4,7 +4,8 @@
 //! thread counts (plus the scheduler against the retained serial sweep
 //! at one thread), the level-overlapped `Graph::forward` replay against
 //! its serial reference, the blocked GEMM kernel against the naive
-//! `i-k-j` reference, and one conv2d forward at the trainer's shape.
+//! `i-k-j` reference, and one conv2d forward and backward at the
+//! trainer's shape.
 //!
 //! Besides the usual console output, results are written to
 //! `BENCH_runtime.json` at the workspace root so future PRs can track
@@ -16,7 +17,7 @@ use criterion::{BenchmarkId, Criterion};
 use sdc_bench::{bench_model, bench_samples};
 use sdc_core::score::contrast_scores_shared;
 use sdc_runtime::Runtime;
-use sdc_tensor::ops::conv::conv2d_forward;
+use sdc_tensor::ops::conv::{conv2d_backward_packed, conv2d_forward, conv2d_forward_packed};
 use sdc_tensor::ops::gemm::{self, Trans};
 use sdc_tensor::ops::matmul::matmul;
 use sdc_tensor::{Graph, Tensor, VarId};
@@ -169,12 +170,14 @@ fn bench_blocked_vs_naive(c: &mut Criterion) {
     group.finish();
 }
 
-/// One conv2d forward at the trainer's real shape (batch 16, 16→16
-/// channels, 3×3 kernel, padding 1, 12×12 maps), single thread: the
-/// fused `im2col_packed` unfold plus the GEMM it feeds. The id contains
-/// `forward`, so the CI `--family forward` gate holds it to the
-/// baseline and catches a regression of either half.
-fn bench_conv_forward(c: &mut Criterion) {
+/// One conv2d forward and one backward at the trainer's real shape
+/// (batch 16, 16→16 channels, 3×3 kernel, padding 1, 12×12 maps),
+/// single thread. The forward is the fused `im2col_packed` unfold plus
+/// the GEMM it feeds; the backward is the production path, which
+/// reuses the forward's retained panels for `dW` and folds `dx` block
+/// by block. The ids contain `forward` and `backward`, so the CI
+/// `--family` gates hold each to the baseline.
+fn bench_conv(c: &mut Criterion) {
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(19);
     let x = Tensor::randn([16, 16, 12, 12], 1.0, &mut rng);
     let w = Tensor::randn([16, 16, 3, 3], 0.1, &mut rng);
@@ -182,6 +185,16 @@ fn bench_conv_forward(c: &mut Criterion) {
     c.bench_function("conv2d_forward_16x16x12x12", |bch| {
         bch.iter(|| {
             rt.install(|| conv2d_forward(black_box(&x), black_box(&w), None, 1, 1).unwrap())
+        })
+    });
+    let (y, colst) = conv2d_forward_packed(&x, &w, None, 1, 1).unwrap();
+    let gy = Tensor::randn(y.shape().clone(), 1.0, &mut rng);
+    c.bench_function("conv2d_backward_16x16x12x12", |bch| {
+        bch.iter(|| {
+            rt.install(|| {
+                conv2d_backward_packed(black_box(&x), &w, black_box(&gy), 1, 1, false, &colst)
+                    .unwrap()
+            })
         })
     });
 }
@@ -225,6 +238,6 @@ fn main() {
     bench_backward_sched_vs_serial(&mut criterion);
     bench_forward_sched_vs_serial(&mut criterion);
     bench_blocked_vs_naive(&mut criterion);
-    bench_conv_forward(&mut criterion);
+    bench_conv(&mut criterion);
     write_json(&criterion);
 }

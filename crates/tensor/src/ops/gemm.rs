@@ -58,6 +58,15 @@
 //! directly in this layout (via the crate-internal
 //! `PackedPanels::from_parts`) so the column tensor is never
 //! materialized unpacked.
+//!
+//! When panels are the `A` operand ([`gemm_panels_a`]), `pack_a` copies
+//! them block by block rather than element by element: the `MR` rows of
+//! one tile always share a `KC` slab (`MC` and `KC` are multiples of
+//! `MR`), and the tile's `k` range starts on an `NR` panel boundary, so
+//! each panel holds the tile's `MR × NR` block contiguously. The
+//! crate-internal `gemm_rows` exposes the kernel's chunk routine for
+//! one block of output rows; conv2d's backward uses it to form the
+//! input-gradient product one `MC`-row block at a time.
 
 use std::mem::MaybeUninit;
 
@@ -139,21 +148,12 @@ fn mat_ref(t: &Tensor, trans: Trans) -> MatRef<'_> {
 }
 
 /// An `A`-operand source for the blocked kernel: either a strided view
-/// of a tensor or a previously packed panel set read back element-wise.
+/// of a tensor or a previously packed panel set, which [`pack_a`] reads
+/// panel by panel.
 #[derive(Clone, Copy)]
 enum ASource<'a> {
     Mat(MatRef<'a>),
     Panels(&'a PackedPanels),
-}
-
-impl ASource<'_> {
-    #[inline]
-    fn get(&self, r: usize, c: usize) -> f32 {
-        match self {
-            ASource::Mat(m) => m.get(r, c),
-            ASource::Panels(p) => p.get(r, c),
-        }
-    }
 }
 
 /// An owned `B`-side packing of a logical `k × m` matrix in the blocked
@@ -217,17 +217,6 @@ impl PackedPanels {
     /// Heap footprint of the packed buffer, for cache budgeting.
     pub fn bytes(&self) -> usize {
         self.buf.len() * std::mem::size_of::<f32>()
-    }
-
-    /// Random access to logical element `(p, j)` — the inverse of the
-    /// panel layout, used when the panels serve as the `A` operand of a
-    /// transposed-product GEMM.
-    #[inline]
-    fn get(&self, p: usize, j: usize) -> f32 {
-        let kp0 = p - p % KC;
-        let kc = KC.min(self.k - kp0);
-        let jpanels = col_panels(self.m);
-        self.buf[b_panel_offset(kp0, kc, j / NR, jpanels) + (p - kp0) * NR + j % NR]
     }
 }
 
@@ -328,10 +317,11 @@ pub fn gemm_prepacked(
 }
 
 /// `C = P · op_b(B)` where the `A` operand is the logical `k × m`
-/// matrix a [`PackedPanels`] encodes (read back element-wise through
-/// the panel layout). Conv2d backward uses this to compute `dWᵀ`
-/// straight from the cached column panels, so the column matrix is
-/// never re-unfolded. `B` is packed internally as usual.
+/// matrix a [`PackedPanels`] encodes (`pack_a` copies it out of the
+/// panel layout one `MR × NR` block at a time). Conv2d backward uses
+/// this to compute `dWᵀ` straight from the cached column panels, so the
+/// column matrix is never re-unfolded. `B` is packed internally as
+/// usual.
 ///
 /// # Errors
 ///
@@ -356,6 +346,21 @@ pub fn gemm_panels_a(
         pack_b(mat_ref(b, trans_b), kb, m)
     };
     Ok(blocked_core(ASource::Panels(a), &packed_b, a.k, kb, m))
+}
+
+/// Rows `i0 .. i0 + out.len() / b.m()` of `A · B`, for a row-major
+/// rank-2 `a` and a pre-packed `b`, written into `out`. This is the
+/// blocked kernel's own chunk routine, for a caller that consumes the
+/// product one row block at a time instead of materializing it
+/// (conv2d's backward input-gradient fold). Each element gets the same
+/// bits as in the full [`gemm`], since rows never interact.
+pub(crate) fn gemm_rows(a: &Tensor, i0: usize, b: &PackedPanels, out: &mut [f32]) {
+    debug_assert!(out.len().is_multiple_of(b.m.max(1)));
+    debug_assert_eq!(a.shape().as_matrix().map(|(_, k)| k), Some(b.k));
+    // SAFETY: `MaybeUninit<f32>` has the layout of `f32`, and
+    // `fill_chunk` only ever stores initialized values through it.
+    let out = unsafe { &mut *(out as *mut [f32] as *mut [MaybeUninit<f32>]) };
+    fill_chunk(i0, out, b.m, b.k, ASource::Mat(mat_ref(a, Trans::N)), &b.buf);
 }
 
 // ---------------------------------------------------------------------
@@ -534,16 +539,43 @@ pub(crate) fn b_panel_offset(p0: usize, kc: usize, jp: usize, jpanels: usize) ->
 /// `p0..p0+kc`) into `MR`-row panel-major layout:
 /// `dst[tile · MR · kc + p · MR + r] = A[i0 + tile·MR + r, p0 + p]`.
 /// Rows past `mc` pad with zeros (their lanes are discarded on store).
+///
+/// A [`PackedPanels`] source is read panel by panel, never element by
+/// element. [`gemm_panels_a`] hands out whole [`MC`]-row chunks, so
+/// `i0` is a multiple of `MC`; with [`KC`] a multiple of [`MR`] too, the
+/// `MR` rows of one tile always share a `KC` slab of the panels. And
+/// `p0` is a multiple of `KC`, hence of [`NR`], so the tile's `k` range
+/// starts on a panel boundary. Each `NR`-wide panel
+/// then holds the tile's `MR × NR` block contiguously (row `r`, lane
+/// `l` at `r · NR + l`), and packing is a 4×8 transpose per panel.
 fn pack_a(dst: &mut Vec<f32>, a: ASource<'_>, i0: usize, mc: usize, p0: usize, kc: usize) {
     let tiles = mc.div_ceil(MR);
     dst.clear();
     dst.resize(tiles * MR * kc, 0.0);
-    for tile in 0..tiles {
-        let base = tile * MR * kc;
+    for (tile, tdst) in dst.chunks_exact_mut(MR * kc).enumerate() {
+        let r0 = i0 + tile * MR;
         let rows = MR.min(mc - tile * MR);
-        for p in 0..kc {
-            for r in 0..rows {
-                dst[base + p * MR + r] = a.get(i0 + tile * MR + r, p0 + p);
+        match a {
+            ASource::Mat(m) => {
+                for (p, col) in tdst.chunks_exact_mut(MR).enumerate() {
+                    for (r, slot) in col.iter_mut().take(rows).enumerate() {
+                        *slot = m.get(r0 + r, p0 + p);
+                    }
+                }
+            }
+            ASource::Panels(pp) => {
+                debug_assert!(i0.is_multiple_of(MR) && p0.is_multiple_of(NR));
+                let slab = r0 - r0 % KC;
+                let (kcs, jpanels) = (KC.min(pp.k - slab), col_panels(pp.m));
+                for (q, pdst) in tdst.chunks_mut(MR * NR).enumerate() {
+                    let src = b_panel_offset(slab, kcs, p0 / NR + q, jpanels) + (r0 - slab) * NR;
+                    let block = &pp.buf[src..src + rows * NR];
+                    for (lane, col) in pdst.chunks_exact_mut(MR).enumerate() {
+                        for (slot, row) in col.iter_mut().zip(block.chunks_exact(NR)) {
+                            *slot = row[lane];
+                        }
+                    }
+                }
             }
         }
     }
@@ -831,15 +863,23 @@ mod tests {
     }
 
     #[test]
-    fn panel_random_access_reads_back_the_operand() {
-        let b = rand_t([KC + 5, 2 * NR + 3], 21);
-        let pb = PackedPanels::pack("t", &b, Trans::N).unwrap();
-        for p in [0, 1, KC - 1, KC, KC + 4] {
-            for j in [0, NR - 1, NR, 2 * NR + 2] {
-                assert_eq!(pb.get(p, j).to_bits(), b.data()[p * (2 * NR + 3) + j].to_bits());
+    fn panel_a_packing_matches_matrix_a_packing() {
+        // `pack_a` from panels must copy exactly what it copies from the
+        // plain matrix, for tiles ending mid-tile, on a slab boundary
+        // and inside a short final slab, and for k ranges ending
+        // mid-panel.
+        let (k, m) = (KC + 5, 2 * KC + 3);
+        let a = rand_t([k, m], 21);
+        let pa = PackedPanels::pack("t", &a, Trans::N).unwrap();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        for (i0, mc) in [(0, MC), (KC - MC, MC), (KC, 5), (KC, 2), (MC, MC - 1)] {
+            for (p0, kc) in [(0, KC), (KC, KC), (2 * KC, 3), (KC, 1)] {
+                pack_a(&mut want, ASource::Mat(mat_ref(&a, Trans::N)), i0, mc, p0, kc);
+                pack_a(&mut got, ASource::Panels(&pa), i0, mc, p0, kc);
+                assert_eq!(want, got, "i0={i0} mc={mc} p0={p0} kc={kc}");
             }
         }
-        assert_eq!(pb.bytes(), pb.buf.len() * 4);
+        assert_eq!(pa.bytes(), pa.buf.len() * 4);
     }
 
     #[test]

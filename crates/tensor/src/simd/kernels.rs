@@ -24,13 +24,19 @@
 //!   columns are independent lanes, so vectorising 8 columns at a time
 //!   preserves the exact scalar order (and the historical `sum_cols`
 //!   bits).
+//! * **NaN results of sums are canonical.** IEEE leaves open which
+//!   payload an `fadd` of two NaNs keeps, and the compiler may commute
+//!   the operands differently in the two instantiations (it does under
+//!   `opt-level = 3`). Every additive reduction therefore returns the
+//!   canonical quiet NaN whenever its result is NaN
+//!   ([`canon_nan`](super::vec::canon_nan)); no finite bit changes.
 //!
 //! Chunk boundaries are inherited unchanged from `par` (`ELEM_CHUNK`,
 //! `ROW_CHUNK`, `COL_CHUNK` — all multiples of 8), so threading remains
 //! bit-identical at any `SDC_THREADS`.
 
 use super::math::{exp_lane, ln_lane, vexp, vln, vsigmoid, vtanh};
-use super::vec::{max_c_scalar, ScalarVec, SimdF32, LANES};
+use super::vec::{canon_nan, max_c_scalar, ScalarVec, SimdF32, LANES};
 use super::{BinaryKernel, Isa, ReduceKernel, UnaryKernel};
 
 /// One chunk's worth of vectorisable work, generic over the lane type.
@@ -193,7 +199,7 @@ fn row_sum<S: SimdF32>(row: &[f32]) -> f32 {
     for &v in groups.remainder() {
         s += v;
     }
-    s
+    canon_nan(s)
 }
 
 /// Canonical horizontal max of a row (`NEG_INFINITY` when empty).
@@ -230,7 +236,7 @@ fn row_sumsq<S: SimdF32>(row: &[f32]) -> f32 {
     for &v in groups.remainder() {
         s += v * v;
     }
-    s
+    canon_nan(s)
 }
 
 /// Canonical horizontal dot product of two equal-length rows.
@@ -250,7 +256,7 @@ fn row_dot<S: SimdF32>(a: &[f32], b: &[f32]) -> f32 {
     for (&x, &y) in ga.remainder().iter().zip(gb.remainder()) {
         s += x * y;
     }
-    s
+    canon_nan(s)
 }
 
 /// Canonical horizontal sum of `exp(v - max)` over a row.
@@ -269,7 +275,7 @@ fn row_expsum<S: SimdF32>(row: &[f32], max: f32) -> f32 {
     for &v in groups.remainder() {
         s += exp_lane(v - max);
     }
-    s
+    canon_nan(s)
 }
 
 /// A row-wise horizontal reduction over a chunk of rows. `src` holds
@@ -326,6 +332,9 @@ impl SimdOp for SumColsChunk<'_> {
                 acc = acc.add(S::load(&self.src[i * d + j0 + j..]));
             }
             acc.store(&mut self.dst[j..]);
+            for v in &mut self.dst[j..j + LANES] {
+                *v = canon_nan(*v);
+            }
             j += LANES;
         }
         // Trailing columns: plain scalar, ascending rows.
@@ -334,7 +343,7 @@ impl SimdOp for SumColsChunk<'_> {
             for i in 0..n {
                 s += self.src[i * d + j0 + jj];
             }
-            self.dst[jj] = s;
+            self.dst[jj] = canon_nan(s);
         }
     }
 }

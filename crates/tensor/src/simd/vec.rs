@@ -104,6 +104,21 @@ pub(crate) fn max_c_scalar(a: f32, b: f32) -> f32 {
     }
 }
 
+/// `x`, except that every NaN becomes the canonical quiet NaN
+/// (`0x7fc0_0000`). Applied to the result of every additive reduction:
+/// when two NaNs meet in an `fadd`, which payload survives depends on
+/// the operand order the compiler picked, and that order may differ
+/// between the scalar and AVX2 instantiations. Finite and infinite
+/// values pass through unchanged.
+#[inline(always)]
+pub(crate) fn canon_nan(x: f32) -> f32 {
+    if x.is_nan() {
+        f32::from_bits(0x7fc0_0000)
+    } else {
+        x
+    }
+}
+
 /// The portable scalar reference instantiation: eight independent `f32`
 /// lanes computed with plain scalar IEEE arithmetic. The compiler may
 /// auto-vectorise these loops at the baseline target level; that cannot

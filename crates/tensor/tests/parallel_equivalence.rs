@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 use sdc_runtime::Runtime;
-use sdc_tensor::ops::conv::{col2im, conv2d_backward, conv2d_forward, im2col};
+use sdc_tensor::ops::conv::{
+    col2im, conv2d_backward_packed, conv2d_forward, im2col, im2col_packed,
+};
 use sdc_tensor::ops::matmul::{matmul, matmul_nt, matmul_tn};
 use sdc_tensor::Tensor;
 
@@ -82,15 +84,13 @@ proptest! {
 
         let y = conv2d_forward(&x, &w, None, stride, 1).unwrap();
         let gy = Tensor::randn(y.shape().clone(), 1.0, &mut rng);
-        let r = assert_thread_invariant(|| {
-            let (dx, _, _) = conv2d_backward(&x, &w, &gy, stride, 1, true).unwrap();
-            dx
-        });
+        let backward = || {
+            let colst = im2col_packed(&x, 3, stride, 1).unwrap();
+            conv2d_backward_packed(&x, &w, &gy, stride, 1, true, &colst).unwrap()
+        };
+        let r = assert_thread_invariant(|| backward().0);
         prop_assert!(r.is_ok(), "backward dx: {}", r.unwrap_err());
-        let r = assert_thread_invariant(|| {
-            let (_, dw, _) = conv2d_backward(&x, &w, &gy, stride, 1, true).unwrap();
-            dw
-        });
+        let r = assert_thread_invariant(|| backward().1);
         prop_assert!(r.is_ok(), "backward dw: {}", r.unwrap_err());
     }
 
